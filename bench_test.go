@@ -262,6 +262,35 @@ func BenchmarkViolationDetection(b *testing.B) {
 	}
 }
 
+// BenchmarkViolationDetectionCold is BenchmarkViolationDetection on a
+// database that has never been detected on: each iteration runs on a
+// fresh Clone (made outside the timer), so it pays for interning every
+// relation. The warm benchmark above reuses one database, whose coded
+// relations stay resident between runs — the cost of a repeated GET on an
+// unchanged dataset. The gap between the two is the interning cost.
+func BenchmarkViolationDetectionCold(b *testing.B) {
+	sch := bank.Schema()
+	for _, size := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("checking=%d", size), func(b *testing.B) {
+			db := bank.Data(sch)
+			for i := 0; i < size; i++ {
+				db.Instance("checking").Insert(instance.Consts(
+					fmt.Sprintf("%05d", i), "Customer", "Addr", "555",
+					[]string{"NYC", "EDI"}[i%2]))
+			}
+			cfds := bank.CFDs(sch)
+			cinds := bank.CINDs(sch)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := db.Clone()
+				b.StartTimer()
+				cindapi.Detect(fresh, cfds, cinds)
+			}
+		})
+	}
+}
+
 // BenchmarkSQLBackendDetect compares bulk detection through the SQL
 // backend (WithSQLBackend over the embedded engine, mirror kept warm
 // across iterations — the steady-state serving cost) against the

@@ -38,6 +38,14 @@ go run ./cmd/cindlint ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# The stream metrics (active_streams, violations_streamed, the violations
+# latency histogram) must agree with a stream the client has just read to
+# its trailer. That is a race between handler and client, so one pass
+# proves little: repeat the metric and router stream tests (~1 minute).
+echo "== stress: stream metrics and router streams (-count=100)"
+go test -count=100 -run 'TestMetricsAndHealth|TestLatencyHistograms|TestRouter|TestMerge|TestShardedDetect' \
+	./internal/server ./internal/shard
+
 echo "== examples smoke: go run ./examples/*"
 for d in examples/*/; do
 	echo "-- go run ./$d"

@@ -6,7 +6,6 @@ import (
 
 	"cind/internal/cfd"
 	"cind/internal/instance"
-	"cind/internal/types"
 )
 
 // groupKey builds an injective detection-group key from a relation name
@@ -50,7 +49,7 @@ type cfdRow struct {
 // X-partition of the instance is order-insensitive; only the pattern
 // alignment is not). Group order follows first appearance, member order
 // input order.
-func planCFDs(db *instance.Database, cfds []*cfd.CFD, it *types.Interner) []*cfdGroup {
+func planCFDs(db *instance.Database, cfds []*cfd.CFD, intern func(string) uint64) []*cfdGroup {
 	byKey := map[string]*cfdGroup{}
 	var groups []*cfdGroup
 	for i, c := range cfds {
@@ -74,14 +73,14 @@ func planCFDs(db *instance.Database, cfds []*cfd.CFD, it *types.Interner) []*cfd
 		}
 		m := cfdMember{c: c, idx: i, yCols: rel.Cols(c.Y), rows: make([]cfdRow, len(c.Rows))}
 		for ri, row := range c.Rows {
-			lhs := compilePattern(row.LHS, it)
+			lhs := compilePattern(row.LHS, intern)
 			sortedLHS := make([]patSym, len(lhs))
 			for p, o := range perm {
 				sortedLHS[p] = lhs[o]
 			}
 			m.rows[ri] = cfdRow{
 				lhs: sortedLHS,
-				rhs: compilePattern(row.RHS, it),
+				rhs: compilePattern(row.RHS, intern),
 			}
 		}
 		g.m = append(g.m, m)
@@ -122,7 +121,7 @@ func evalCFDMember(cr *codedRel, ix *projIndex, m *cfdMember, limit int, stop fu
 	for ri := range m.rows {
 		row := &m.rows[ri]
 		emit := func(r1, r2 int32) bool {
-			out = append(out, cfd.Violation{CFD: m.c, RowIdx: ri, T1: cr.tuples[r1], T2: cr.tuples[r2]})
+			out = append(out, cfd.Violation{CFD: m.c, RowIdx: ri, T1: cr.Tuples[r1], T2: cr.Tuples[r2]})
 			if limit > 0 && len(out) >= limit {
 				return false
 			}
@@ -167,7 +166,7 @@ func (g *cfdGroup) stream(coded map[string]*codedRel, stop func() bool, emit fun
 		for ri := range m.rows {
 			row := &m.rows[ri]
 			e := func(r1, r2 int32) bool {
-				return emit(cfd.Violation{CFD: m.c, RowIdx: ri, T1: cr.tuples[r1], T2: cr.tuples[r2]})
+				return emit(cfd.Violation{CFD: m.c, RowIdx: ri, T1: cr.Tuples[r1], T2: cr.Tuples[r2]})
 			}
 			for gi := 0; gi < ix.size(); gi++ {
 				if gi&1023 == 0 && stop() {

@@ -4,7 +4,6 @@ import (
 	core "cind/internal/core"
 	"cind/internal/instance"
 	"cind/internal/pattern"
-	"cind/internal/types"
 )
 
 // cindGroup batches every CIND over the same (RHS relation, Y attribute
@@ -34,7 +33,7 @@ type cindRow struct {
 }
 
 // planCINDs groups the input CINDs and compiles their patterns.
-func planCINDs(db *instance.Database, cinds []*core.CIND, it *types.Interner) []*cindGroup {
+func planCINDs(db *instance.Database, cinds []*core.CIND, intern func(string) uint64) []*cindGroup {
 	byKey := map[string]*cindGroup{}
 	var groups []*cindGroup
 	for i, c := range cinds {
@@ -58,9 +57,9 @@ func planCINDs(db *instance.Database, cinds []*core.CIND, it *types.Interner) []
 		}
 		for ri, row := range c.Rows {
 			m.rows[ri] = cindRow{
-				lhs: compilePattern(row.LHS, it),
-				y:   compilePattern(pattern.Tuple(row.RHS[:len(c.Y)]), it),
-				yp:  compilePattern(pattern.Tuple(row.RHS[len(c.Y):]), it),
+				lhs: compilePattern(row.LHS, intern),
+				y:   compilePattern(pattern.Tuple(row.RHS[:len(c.Y)]), intern),
+				yp:  compilePattern(pattern.Tuple(row.RHS[len(c.Y):]), intern),
 			}
 		}
 		g.m = append(g.m, m)
@@ -102,7 +101,7 @@ func (g *cindGroup) antiJoin(coded map[string]*codedRel, stop func() bool) (work
 		for ri := range m.rows {
 			row := &m.rows[ri]
 			w := rowWork{m: m, ri: ri}
-			for i := range crL.tuples {
+			for i := range crL.Tuples {
 				if i&8191 == 0 && stop() {
 					return nil, nil, 0, false
 				}
@@ -121,7 +120,7 @@ func (g *cindGroup) antiJoin(coded map[string]*codedRel, stop func() bool) (work
 	nw := len(works)
 	stride = (nw + 63) / 64
 	satisfied = make([]uint64, slots.size()*stride)
-	for i := range crR.tuples {
+	for i := range crR.Tuples {
 		if i&8191 == 0 && stop() {
 			return nil, nil, 0, false
 		}
@@ -174,7 +173,7 @@ func (g *cindGroup) eval(coded map[string]*codedRel, out [][]core.Violation, lim
 			if satisfied[int(w.slot[k])*stride+wi/64]&(1<<(wi%64)) != 0 {
 				continue
 			}
-			vs = append(vs, core.Violation{CIND: w.m.c, RowIdx: w.ri, T: crL.tuples[ti]})
+			vs = append(vs, core.Violation{CIND: w.m.c, RowIdx: w.ri, T: crL.Tuples[ti]})
 			if limit > 0 && len(vs) >= limit {
 				break
 			}
@@ -202,7 +201,7 @@ func (g *cindGroup) stream(coded map[string]*codedRel, stop func() bool, emit fu
 			if satisfied[int(w.slot[k])*stride+wi/64]&(1<<(wi%64)) != 0 {
 				continue
 			}
-			if !emit(core.Violation{CIND: w.m.c, RowIdx: w.ri, T: crL.tuples[ti]}) {
+			if !emit(core.Violation{CIND: w.m.c, RowIdx: w.ri, T: crL.Tuples[ti]}) {
 				return false
 			}
 		}

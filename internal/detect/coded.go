@@ -1,71 +1,41 @@
 package detect
 
 import (
+	"slices"
+
 	"cind/internal/instance"
 	"cind/internal/pattern"
 	"cind/internal/types"
 )
 
 // codedRel is a relation instance with every field interned to a uint64
-// symbol code (row-major). It is built once per Run and shared read-only by
-// all evaluation units over that relation, so projection hashing and
-// pattern matches are pure integer work in the hot loops.
-type codedRel struct {
-	tuples []instance.Tuple
-	arity  int
-	codes  []uint64 // len(tuples)*arity
-}
-
-func codeRelation(in *instance.Instance, it *types.Interner) *codedRel {
-	tuples := in.Tuples()
-	arity := in.Relation().Arity()
-	cr := &codedRel{tuples: tuples, arity: arity, codes: make([]uint64, len(tuples)*arity)}
-	// Column-wise with a last-value cache: real columns are repetitive, and
-	// re-coding an identical string (usually the same backing array) is a
-	// cheap string compare instead of an interner lookup.
-	for j := 0; j < arity; j++ {
-		var lastStr string
-		var lastCode uint64
-		seen := false
-		for i, t := range tuples {
-			v := t[j]
-			var c uint64
-			if v.IsConst() {
-				if s := v.Str(); seen && s == lastStr {
-					c = lastCode
-				} else {
-					c = it.Const(s)
-					lastStr, lastCode, seen = s, c, true
-				}
-			} else {
-				c = it.Code(v)
-			}
-			cr.codes[i*arity+j] = c
-		}
-	}
-	return cr
-}
+// symbol code (row-major). Batch runs read the database's resident coded
+// relations (instance.Database.Coded), shared read-only by all evaluation
+// units, so projection hashing and pattern matches are pure integer work in
+// the hot loops; the incremental session grows private ones through
+// appendTuple.
+type codedRel = instance.CodedRelation
 
 // appendTuple codes one tuple and appends it as a new row, returning the
 // row id. The incremental session grows its resident coded relations through
 // this path: rows are append-only (deletions tombstone elsewhere), so row
 // ids — and the code sequences behind keyGroups representatives — stay
 // valid for the lifetime of the session.
-func (cr *codedRel) appendTuple(t instance.Tuple, it *types.Interner) int32 {
-	row := int32(len(cr.tuples))
-	cr.tuples = append(cr.tuples, t)
+func appendTuple(cr *codedRel, t instance.Tuple, it *types.Interner) int32 {
+	row := int32(len(cr.Tuples))
+	cr.Tuples = append(cr.Tuples, t)
 	for _, v := range t {
-		cr.codes = append(cr.codes, it.Code(v))
+		cr.Codes = append(cr.Codes, it.Code(v))
 	}
 	return row
 }
 
 // projHash mixes the projected codes of one tuple into a 64-bit hash.
 func projHash(cr *codedRel, row int, cols []int) uint64 {
-	base := row * cr.arity
+	base := row * cr.Arity
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, c := range cols {
-		h ^= cr.codes[base+c]
+		h ^= cr.Codes[base+c]
 		h *= 0xBF58476D1CE4E5B9
 		h ^= h >> 29
 	}
@@ -76,9 +46,9 @@ func projHash(cr *codedRel, row int, cols []int) uint64 {
 // The column lists must have equal length (CIND validation guarantees
 // |X| = |Y|; CFD groups share one X list).
 func projEq(a *codedRel, ra int, ca []int, b *codedRel, rb int, cb []int) bool {
-	ba, bb := ra*a.arity, rb*b.arity
+	ba, bb := ra*a.Arity, rb*b.Arity
 	for i := range ca {
-		if a.codes[ba+ca[i]] != b.codes[bb+cb[i]] {
+		if a.Codes[ba+ca[i]] != b.Codes[bb+cb[i]] {
 			return false
 		}
 	}
@@ -91,12 +61,23 @@ func projEq(a *codedRel, ra int, ca []int, b *codedRel, rb int, cb []int) bool {
 // hash) are resolved by comparing code sequences against each group's
 // recorded representative. Representatives may live in different coded
 // relations — a CIND compares LHS X projections against RHS Y projections.
+//
+// Every group of a projIndex shares one (relation, column list) source, and
+// a CIND's slots draw on one source per distinct LHS projection plus the
+// RHS one, so sources are stored once: a group records only its
+// representative row and, once a second source appears, a source index.
 type keyGroups struct {
 	byHash map[uint64]int32   // hash -> first group with that hash
 	over   map[uint64][]int32 // colliding further groups, lazily allocated
-	crs    []*codedRel        // group -> representative relation
+	srcs   []keySrc           // distinct representative sources
 	rows   []int32            // group -> representative tuple index
-	colss  [][]int            // group -> representative column list
+	srcOf  []int32            // group -> index into srcs; nil while len(srcs) <= 1
+}
+
+// keySrc is a (coded relation, column list) that representatives project.
+type keySrc struct {
+	cr   *codedRel
+	cols []int
 }
 
 func newKeyGroups(sizeHint int) keyGroups {
@@ -105,6 +86,15 @@ func newKeyGroups(sizeHint int) keyGroups {
 
 func (kg *keyGroups) size() int { return len(kg.rows) }
 
+// eq reports whether the projection equals group g's representative.
+func (kg *keyGroups) eq(cr *codedRel, row int, cols []int, g int32) bool {
+	src := &kg.srcs[0]
+	if kg.srcOf != nil {
+		src = &kg.srcs[kg.srcOf[g]]
+	}
+	return projEq(cr, row, cols, src.cr, int(kg.rows[g]), src.cols)
+}
+
 // find returns the ordinal of the group holding the projection, or -1.
 func (kg *keyGroups) find(cr *codedRel, row int, cols []int) int32 {
 	h := projHash(cr, row, cols)
@@ -112,11 +102,11 @@ func (kg *keyGroups) find(cr *codedRel, row int, cols []int) int32 {
 	if !ok {
 		return -1
 	}
-	if projEq(cr, row, cols, kg.crs[gi], int(kg.rows[gi]), kg.colss[gi]) {
+	if kg.eq(cr, row, cols, gi) {
 		return gi
 	}
 	for _, g := range kg.over[h] {
-		if projEq(cr, row, cols, kg.crs[g], int(kg.rows[g]), kg.colss[g]) {
+		if kg.eq(cr, row, cols, g) {
 			return g
 		}
 	}
@@ -129,19 +119,20 @@ func (kg *keyGroups) findOrAdd(cr *codedRel, row int, cols []int) int32 {
 	h := projHash(cr, row, cols)
 	gi, ok := kg.byHash[h]
 	if ok {
-		if projEq(cr, row, cols, kg.crs[gi], int(kg.rows[gi]), kg.colss[gi]) {
+		if kg.eq(cr, row, cols, gi) {
 			return gi
 		}
 		for _, g := range kg.over[h] {
-			if projEq(cr, row, cols, kg.crs[g], int(kg.rows[g]), kg.colss[g]) {
+			if kg.eq(cr, row, cols, g) {
 				return g
 			}
 		}
 	}
 	ng := int32(len(kg.rows))
-	kg.crs = append(kg.crs, cr)
 	kg.rows = append(kg.rows, int32(row))
-	kg.colss = append(kg.colss, cols)
+	if si := kg.source(cr, cols); kg.srcOf != nil {
+		kg.srcOf = append(kg.srcOf, si)
+	}
 	if !ok {
 		kg.byHash[h] = ng
 	} else {
@@ -151,6 +142,23 @@ func (kg *keyGroups) findOrAdd(cr *codedRel, row int, cols []int) int32 {
 		kg.over[h] = append(kg.over[h], ng)
 	}
 	return ng
+}
+
+// source returns the index of (cr, cols) in srcs, registering it when new.
+// Called for a group just appended to rows: when the second source
+// appears, srcOf is materialised for every earlier group (all of source
+// 0), leaving the new group's entry for the caller to append.
+func (kg *keyGroups) source(cr *codedRel, cols []int) int32 {
+	for i := len(kg.srcs) - 1; i >= 0; i-- {
+		if s := &kg.srcs[i]; s.cr == cr && slices.Equal(s.cols, cols) {
+			return int32(i)
+		}
+	}
+	kg.srcs = append(kg.srcs, keySrc{cr: cr, cols: cols})
+	if len(kg.srcs) == 2 {
+		kg.srcOf = make([]int32, len(kg.rows)-1, cap(kg.rows))
+	}
+	return int32(len(kg.srcs) - 1)
 }
 
 // projIndex groups every tuple of a coded relation by its projection on a
@@ -170,7 +178,7 @@ type projIndex struct {
 // the dominant cost on clean data, so cancellation must be able to
 // interrupt it, not just the pair enumeration that follows.
 func buildProjIndex(cr *codedRel, cols []int, stop func() bool) *projIndex {
-	n := len(cr.tuples)
+	n := len(cr.Tuples)
 	ix := &projIndex{cols: cols, kg: newKeyGroups(n)}
 	tupGi := make([]int32, n)
 	var counts []int32
@@ -216,11 +224,11 @@ type patSym struct {
 	code uint64
 }
 
-func compilePattern(tp pattern.Tuple, it *types.Interner) []patSym {
+func compilePattern(tp pattern.Tuple, intern func(string) uint64) []patSym {
 	out := make([]patSym, len(tp))
 	for i, s := range tp {
 		if s.IsConst() {
-			out[i] = patSym{code: it.Const(s.Const())}
+			out[i] = patSym{code: intern(s.Const())}
 		} else {
 			out[i].wild = true
 		}
@@ -231,9 +239,9 @@ func compilePattern(tp pattern.Tuple, it *types.Interner) []patSym {
 // matchCoded reports whether tuple row of cr, projected to cols, matches
 // the compiled pattern.
 func matchCoded(cr *codedRel, row int, cols []int, pat []patSym) bool {
-	base := row * cr.arity
+	base := row * cr.Arity
 	for i, p := range pat {
-		if !p.wild && cr.codes[base+cols[i]] != p.code {
+		if !p.wild && cr.Codes[base+cols[i]] != p.code {
 			return false
 		}
 	}

@@ -10,7 +10,9 @@
 //
 //  1. interns every constant into an integer symbol ID (types.Interner), so
 //     projection keys are sequences of uint64 codes rather than freshly
-//     built strings;
+//     built strings; the coded relations stay resident in the database
+//     (instance.Database.Coded) and are rebuilt only for relations whose
+//     Version changed, so repeated runs over unchanged data skip interning;
 //  2. groups CFDs by (relation, X attribute list) and CINDs by
 //     (RHS relation, Y attribute list), building each shared projection
 //     index over the instance once and evaluating all tableau rows of all
@@ -37,7 +39,7 @@ import (
 	"cind/internal/conc"
 	core "cind/internal/core"
 	"cind/internal/instance"
-	"cind/internal/types"
+	"cind/internal/pattern"
 )
 
 // Options tunes a detection run.
@@ -81,24 +83,41 @@ func Run(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Option
 // can call: a nil-Done context (Background) costs a single nil check.
 func stopFunc(ctx context.Context) func() bool { return conc.StopFunc(ctx) }
 
-// plan codes every referenced relation once, sequentially (workers only
-// read codes, so evaluation needs no locks) and builds the detection
-// groups. Shared by the batch and streaming entry points.
-func plan(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, it *types.Interner) (map[string]*codedRel, []*cfdGroup, []*cindGroup) {
-	coded := map[string]*codedRel{}
-	ensure := func(rel string) {
-		if _, ok := coded[rel]; !ok {
-			coded[rel] = codeRelation(db.Instance(rel), it)
+// plan fetches the database's resident coded form of every referenced
+// relation — re-coding only relations that changed since the last run —
+// together with the codes of every pattern constant, and builds the
+// detection groups. Workers only read the codes, so evaluation needs no
+// locks. Shared by the batch and streaming entry points.
+func plan(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) (map[string]*codedRel, []*cfdGroup, []*cindGroup) {
+	var rels, consts []string
+	addConsts := func(tp pattern.Tuple) {
+		for _, s := range tp {
+			if s.IsConst() {
+				consts = append(consts, s.Const())
+			}
 		}
 	}
 	for _, c := range cfds {
-		ensure(c.Rel)
+		rels = append(rels, c.Rel)
+		for _, r := range c.Rows {
+			addConsts(r.LHS)
+			addConsts(r.RHS)
+		}
 	}
 	for _, c := range cinds {
-		ensure(c.LHSRel)
-		ensure(c.RHSRel)
+		rels = append(rels, c.LHSRel, c.RHSRel)
+		for _, r := range c.Rows {
+			addConsts(r.LHS)
+			addConsts(r.RHS)
+		}
 	}
-	return coded, planCFDs(db, cfds, it), planCINDs(db, cinds, it)
+	coded, codes := db.Coded(rels, consts)
+	byConst := make(map[string]uint64, len(consts))
+	for i, s := range consts {
+		byConst[s] = codes[i]
+	}
+	intern := func(s string) uint64 { return byConst[s] }
+	return coded, planCFDs(db, cfds, intern), planCINDs(db, cinds, intern)
 }
 
 // RunContext is Run with cooperative cancellation: the planning phase and
@@ -111,7 +130,7 @@ func RunContext(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cin
 		return nil, err
 	}
 	stop := stopFunc(ctx)
-	coded, cfdGroups, cindGroups := plan(db, cfds, cinds, types.NewInterner())
+	coded, cfdGroups, cindGroups := plan(db, cfds, cinds)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -85,7 +85,7 @@ type liveRel struct {
 }
 
 func (lr *liveRel) insert(t instance.Tuple, it *types.Interner) int32 {
-	row := lr.cr.appendTuple(t, it)
+	row := appendTuple(&lr.cr, t, it)
 	lr.live = append(lr.live, true)
 	lr.rowOf[tupleKey(t)] = row
 	return row
@@ -191,7 +191,7 @@ func NewSessionContext(ctx context.Context, db *instance.Database, cfds []*cfd.C
 		lr, ok := s.rels[rel]
 		if !ok {
 			lr = &liveRel{
-				cr:    codedRel{arity: db.Instance(rel).Relation().Arity()},
+				cr:    codedRel{Arity: db.Instance(rel).Relation().Arity()},
 				rowOf: map[string]int32{},
 			}
 			s.rels[rel] = lr
@@ -205,7 +205,7 @@ func NewSessionContext(ctx context.Context, db *instance.Database, cfds []*cfd.C
 	if stop() {
 		return nil, ctx.Err()
 	}
-	for _, g := range planCFDs(db, cfds, s.it) {
+	for _, g := range planCFDs(db, cfds, s.it.Const) {
 		st := &cfdState{g: g, lr: ensure(g.rel), kg: newKeyGroups(0)}
 		st.flatOff = make([]int, len(g.m))
 		for mi := range g.m {
@@ -215,7 +215,7 @@ func NewSessionContext(ctx context.Context, db *instance.Database, cfds []*cfd.C
 		s.cfdStates = append(s.cfdStates, st)
 		s.cfdByRel[g.rel] = append(s.cfdByRel[g.rel], st)
 	}
-	for _, g := range planCINDs(db, cinds, s.it) {
+	for _, g := range planCINDs(db, cinds, s.it.Const) {
 		st := &cindState{g: g, rhsLR: ensure(g.rhsRel), kg: newKeyGroups(0)}
 		for mi := range g.m {
 			m := &g.m[mi]
@@ -582,7 +582,7 @@ func (s *Session) emitCFD(sign int, lr *liveRel, m *cfdMember, ri int, p pairVio
 	if s.seeding {
 		return
 	}
-	v := cfd.Violation{CFD: m.c, RowIdx: ri, T1: lr.cr.tuples[p.r1], T2: lr.cr.tuples[p.r2]}
+	v := cfd.Violation{CFD: m.c, RowIdx: ri, T1: lr.cr.Tuples[p.r1], T2: lr.cr.Tuples[p.r2]}
 	key := "f" + strconv.Itoa(m.idx) + "." + strconv.Itoa(ri) + "." + tupleKey(v.T1) + tupleKey(v.T2)
 	e, ok := s.events[key]
 	if !ok {
@@ -597,7 +597,7 @@ func (s *Session) emitCIND(sign int, w *workState, lhsRow int32) {
 	if s.seeding {
 		return
 	}
-	v := core.Violation{CIND: w.m.c, RowIdx: w.ri, T: w.lhsLR.cr.tuples[lhsRow]}
+	v := core.Violation{CIND: w.m.c, RowIdx: w.ri, T: w.lhsLR.cr.Tuples[lhsRow]}
 	key := "i" + strconv.Itoa(w.m.idx) + "." + strconv.Itoa(w.ri) + "." + tupleKey(v.T)
 	e, ok := s.events[key]
 	if !ok {
@@ -681,7 +681,7 @@ func (s *Session) assemble() *Result {
 					for _, p := range ref.b.viols[fi] {
 						cfdOut[m.idx] = append(cfdOut[m.idx], cfd.Violation{
 							CFD: m.c, RowIdx: ri,
-							T1: st.lr.cr.tuples[p.r1], T2: st.lr.cr.tuples[p.r2],
+							T1: st.lr.cr.Tuples[p.r1], T2: st.lr.cr.Tuples[p.r2],
 						})
 					}
 				}
@@ -695,7 +695,7 @@ func (s *Session) assemble() *Result {
 			for k, row := range w.rows {
 				if !w.satisfied(w.slots[k]) {
 					cindOut[w.m.idx] = append(cindOut[w.m.idx], core.Violation{
-						CIND: w.m.c, RowIdx: w.ri, T: w.lhsLR.cr.tuples[row],
+						CIND: w.m.c, RowIdx: w.ri, T: w.lhsLR.cr.Tuples[row],
 					})
 				}
 			}

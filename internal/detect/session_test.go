@@ -559,7 +559,7 @@ func TestSessionCompactionUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows := len(sess.rels["checking"].cr.tuples)
+	rows := len(sess.rels["checking"].cr.Tuples)
 	if rows > 5000 {
 		t.Fatalf("resident checking relation holds %d rows after churn on a ~%d-tuple live set; compaction did not run",
 			rows, db.Instance("checking").Len())

@@ -8,7 +8,6 @@ import (
 	"cind/internal/constraint"
 	core "cind/internal/core"
 	"cind/internal/instance"
-	"cind/internal/types"
 )
 
 // Violation is the unified sum type over the two violation kinds: a CFD
@@ -143,7 +142,7 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 	stop := stopFunc(inner)
 	done := inner.Done()
 
-	coded, cfdGroups, cindGroups := plan(db, cfds, cinds, types.NewInterner())
+	coded, cfdGroups, cindGroups := plan(db, cfds, cinds)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

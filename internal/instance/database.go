@@ -9,9 +9,12 @@ import (
 )
 
 // Database is an instance of a database schema: one Instance per relation.
+// It also keeps the coded form of its relations resident for detection
+// (see Coded); a Clone starts without it.
 type Database struct {
 	sch   *schema.Schema
 	insts map[string]*Instance
+	codes codeCache
 }
 
 // NewDatabase returns a database with an empty instance for every relation

@@ -116,12 +116,14 @@ func (in *Instance) Len() int { return len(in.tuples) }
 func (in *Instance) Tuples() []Tuple { return in.tuples }
 
 // Version fingerprints the instance contents for cache invalidation: the
-// pair changes on every Insert and Delete (nextSeq only grows, and a
-// delete shrinks the length without changing nextSeq), and reindex — run
+// pair changes on every Insert, Delete and Reset of a nonempty instance
+// (nextSeq only grows; a delete or reset shrinks the length without
+// changing nextSeq), and reindex — run
 // by chase-style variable substitution — reassigns fresh sequence numbers,
-// so equal pairs imply the mirror built from an earlier snapshot is still
-// current. Used by internal/sqlbackend to skip re-ingesting unchanged
-// relations.
+// so equal pairs imply anything built from an earlier snapshot is still
+// current. It keys two caches: Database.Coded re-codes a relation for
+// detection only when its Version moved, and internal/sqlbackend skips
+// re-ingesting unchanged relations.
 func (in *Instance) Version() (nextSeq int64, n int) {
 	return in.nextSeq, len(in.tuples)
 }

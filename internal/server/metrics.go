@@ -3,6 +3,7 @@ package server
 import (
 	"math/bits"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -100,6 +101,23 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		h(w, r)
 		hist.Observe(time.Since(start))
+	}
+}
+
+// instrumentStream is instrument for streaming handlers: h calls end just
+// before it writes the stream's terminal record, so the latency is on the
+// histogram by the time a client has read the whole stream. end may be
+// called from any goroutine; only the first call records, and the wrapper
+// calls it after h returns in case h never did.
+func (s *Server) instrumentStream(name string, h func(w http.ResponseWriter, r *http.Request, end func())) http.HandlerFunc {
+	hist := new(latencyHistogram)
+	s.latency[name] = hist
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		var once sync.Once
+		end := func() { once.Do(func() { hist.Observe(time.Since(start)) }) }
+		h(w, r, end)
+		end()
 	}
 }
 

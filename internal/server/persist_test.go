@@ -312,6 +312,9 @@ func TestDurableReplaceResetsOnDisk(t *testing.T) {
 
 // TestDurableFsyncPolicies smoke-runs the three sync policies end to end:
 // identical recovered state, and fsync counters that reflect the policy.
+// The dataset runs at parallelism 1: its pre-restart stream comes from the
+// engine, whose parallel stream interleaves groups in arrival order, so
+// only the sequential stream has an order to compare exactly.
 func TestDurableFsyncPolicies(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -329,7 +332,7 @@ func TestDurableFsyncPolicies(t *testing.T) {
 			dir := t.TempDir()
 			s1, ts1 := startDurable(t, dir, Options{Fsync: policy})
 			c := ts1.Client()
-			loadBankHTTP(t, c, ts1.URL, "bank", "")
+			loadBankHTTP(t, c, ts1.URL, "bank", "?parallel=1")
 			before := streamViolations(t, c, ts1.URL+"/datasets/bank/violations")
 			m := metricsMap(t, c, ts1.URL)
 			if n := m["wal_fsyncs"].(float64); tc.name == "always" && n < float64(len(bankRelations)) {

@@ -253,7 +253,7 @@ func New() *Server {
 	mux.HandleFunc("PUT /datasets/{name}", s.instrument("put_data", s.handlePutData))
 	mux.HandleFunc("GET /datasets/{name}", s.instrument("info", s.handleInfo))
 	mux.HandleFunc("DELETE /datasets/{name}", s.instrument("delete", s.handleDelete))
-	mux.HandleFunc("GET /datasets/{name}/violations", s.instrument("violations", s.handleViolations))
+	mux.HandleFunc("GET /datasets/{name}/violations", s.instrumentStream("violations", s.handleViolations))
 	mux.HandleFunc("POST /datasets/{name}/deltas", s.instrument("deltas", s.handleDeltas))
 	mux.HandleFunc("POST /datasets/{name}/repair", s.instrument("repair", s.handleRepair))
 	mux.HandleFunc("POST /datasets/{name}/implication", s.instrument("implication", s.handleImplication))
@@ -690,8 +690,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // Every exit path emits the encoding's terminal record: the trailer after
 // a complete stream (limit included), the terminal error record after a
 // cancellation — flushed, so a client can always tell a complete stream
-// from a truncated one.
-func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
+// from a truncated one. The stream's metrics (active_streams,
+// violations_streamed, its latency via end) are settled before that
+// record is written, so they agree with what a client has just read.
+func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, end func()) {
 	d, ok := s.findDataset(w, r)
 	if !ok {
 		return
@@ -717,15 +719,14 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 
 	s.nActiveStream.Add(1)
-	defer s.nActiveStream.Add(-1)
-
-	sw := stream.NewWriter(w, fl, enc, stream.Options{})
-	defer func() {
-		// Close is idempotent: a no-op after the explicit CloseError /
-		// Close below, the trailer writer on the limit-break path.
-		sw.Close()
-		s.nStreamed.Add(sw.Count())
-	}()
+	sw := stream.NewWriter(w, fl, enc, stream.Options{BeforeTerminal: func(count int64) {
+		s.nStreamed.Add(count)
+		s.nActiveStream.Add(-1)
+		end()
+	}})
+	// Close is idempotent: a no-op after the explicit CloseError below,
+	// the trailer writer on the limit-break and end-of-stream paths.
+	defer sw.Close()
 	n := 0
 	for v, err := range chk.Violations(ctx) {
 		if err != nil {

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"cind"
 )
 
 // startBackendServer is startServer with Options.Backend set: every dataset
@@ -25,12 +27,15 @@ func startBackendServer(t testing.TB, spec string) (*Server, *httptest.Server) {
 // TestBackendServerParity: a -backend server's violation stream is
 // violation-for-violation identical to the in-memory engine's, including
 // the ?limit= prefix — the HTTP face of the sqlbackend differential suite.
+// The direct side runs at parallelism 1: a parallel Violations stream
+// interleaves detection groups in arrival order, so only the sequential
+// stream has an order to compare exactly.
 func TestBackendServerParity(t *testing.T) {
 	_, ts := startBackendServer(t, "mem:")
 	c := ts.Client()
 	loadBankHTTP(t, c, ts.URL, "bank", "")
 
-	chk, _ := bankChecker(t)
+	chk, _ := bankChecker(t, cind.WithParallelism(1))
 	want := collectDirect(t, chk)
 	if len(want) == 0 {
 		t.Fatal("bank fixture is clean; the parity test needs violations")
@@ -65,7 +70,7 @@ func TestBackendServerReplaceAndDelete(t *testing.T) {
 	loadBankHTTP(t, c, ts.URL, "other", "")
 	do(t, c, "DELETE", ts.URL+"/datasets/bank", nil, http.StatusNoContent)
 	// The surviving dataset's backend still serves.
-	chk, _ := bankChecker(t)
+	chk, _ := bankChecker(t, cind.WithParallelism(1))
 	assertSameOrder(t, "after delete", streamViolations(t, c, ts.URL+"/datasets/other/violations"), collectDirect(t, chk))
 }
 

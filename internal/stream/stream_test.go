@@ -436,3 +436,62 @@ func TestTrailerCountMismatch(t *testing.T) {
 		t.Fatalf("mismatched trailer count decoded cleanly: %v", err)
 	}
 }
+
+// hookOrderWriter records, for every write, whether the BeforeTerminal
+// hook had already run; the Writer calls both from its encoder goroutine.
+type hookOrderWriter struct {
+	bytes.Buffer
+	hooked      bool
+	hookedAtEnd []bool
+}
+
+func (w *hookOrderWriter) Write(p []byte) (int, error) {
+	w.hookedAtEnd = append(w.hookedAtEnd, w.hooked)
+	return w.Buffer.Write(p)
+}
+
+// TestBeforeTerminalRunsBeforeTrailer: the hook fires exactly once, with
+// the written count, before the terminal record is written — on the
+// clean, the error and the failed-sink paths.
+func TestBeforeTerminalRunsBeforeTrailer(t *testing.T) {
+	vs := testViolations(t, 20)
+	for _, enc := range allEncodings {
+		for _, endErr := range []string{"", "cancelled"} {
+			out := &hookOrderWriter{}
+			calls := 0
+			var got int64
+			w := NewWriter(out, nil, enc, Options{BeforeTerminal: func(n int64) {
+				calls++
+				got = n
+				out.hooked = true
+			}})
+			for _, v := range vs {
+				w.Send(v)
+			}
+			if endErr == "" {
+				w.Close()
+			} else {
+				w.CloseError(endErr)
+			}
+			w.Close() // idempotent: must not fire the hook again
+			if calls != 1 || got != int64(len(vs)) {
+				t.Fatalf("%v %q: hook called %d times with %d, want once with %d", enc, endErr, calls, got, len(vs))
+			}
+			// The first violation is flushed eagerly, before the hook; the
+			// terminal record is the last write, after it.
+			n := len(out.hookedAtEnd)
+			if n < 2 || out.hookedAtEnd[0] || !out.hookedAtEnd[n-1] {
+				t.Fatalf("%v %q: hook must run after the first flush and before the terminal record: %v", enc, endErr, out.hookedAtEnd)
+			}
+		}
+	}
+	calls := 0
+	w := NewWriter(&failAfterWriter{n: 0}, nil, NDJSON, Options{BeforeTerminal: func(int64) { calls++ }})
+	w.Send(vs[0])
+	if err := w.Close(); err == nil {
+		t.Fatal("Close returned nil on a dead sink")
+	}
+	if calls != 1 {
+		t.Fatalf("hook called %d times on a dead sink, want 1", calls)
+	}
+}

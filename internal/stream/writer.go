@@ -34,6 +34,12 @@ type Options struct {
 	// PushInterval bounds how long a violation may sit in a partially
 	// filled micro-batch before Send pushes it anyway.
 	PushInterval time.Duration
+	// BeforeTerminal, when set, is called once with the number of
+	// violations written, on the encoder goroutine, just before the
+	// terminal record is written (also when a write failure suppresses
+	// it). Accounting done here is complete by the time a client has read
+	// the trailer, which deferred code after Close cannot promise.
+	BeforeTerminal func(count int64)
 }
 
 // Defaults: flush at 32KiB or 50ms, whichever first; micro-batches of 256
@@ -286,6 +292,9 @@ func (w *Writer) run() {
 		}
 		if closed {
 			w.count = count
+			if w.opts.BeforeTerminal != nil {
+				w.opts.BeforeTerminal(count)
+			}
 			if !failed {
 				w.writeTerminal(buf, endErr, count, started)
 			}

@@ -1,6 +1,9 @@
 package types
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"hash/maphash"
+)
 
 // Interner maps constant payloads to dense integer symbol IDs so that hot
 // paths (bulk violation detection, projection hashing) can compare and hash
@@ -14,28 +17,75 @@ import "encoding/binary"
 // relies on to replace string projection keys with integer ones.
 //
 // An Interner is NOT safe for concurrent interning: callers must intern
-// from one goroutine at a time (the detection engine interns only in its
-// sequential planning phase, before workers fan out; the workers then only
-// read the resulting codes). Codes are only meaningful relative to one
-// Interner; they must never be persisted or compared across interners.
+// from one goroutine at a time. Looking up constants that are already
+// interned only reads, so many goroutines may do that at once. The
+// detection engine's interner lives in instance.Database and is written
+// only under the database's code lock — when a changed relation is
+// re-coded or a constraint's pattern constants are compiled — while
+// detection workers read only the resulting codes. Codes are only
+// meaningful relative to one Interner; they must never be persisted or
+// compared across interners.
+//
+// The table is open-addressed and holds string headers, not copies: an
+// interned constant shares the bytes of the value it came from, and each
+// entry costs a 16-byte header plus one 8-byte slot. A database keeps its
+// interner resident between detection runs, so this footprint is paid for
+// as long as the database lives.
 type Interner struct {
-	ids map[string]uint64
+	strs  []string // code>>1 -> constant payload
+	slots []uint64 // high 32 hash bits | index+1 into strs; 0 is empty
 }
+
+// internSeed hashes for every Interner. Codes follow first-intern order,
+// never the hash, so they do not depend on the seed.
+var internSeed = maphash.MakeSeed()
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{ids: make(map[string]uint64)}
+	return &Interner{slots: make([]uint64, 16)}
 }
 
+const hashTag = uint64(0xFFFFFFFF) << 32
+
 // Const returns the symbol ID of the constant payload s, assigning the next
-// odd code on first sight.
+// odd code on first sight. A hit never writes.
 func (in *Interner) Const(s string) uint64 {
-	id, ok := in.ids[s]
-	if !ok {
-		id = uint64(len(in.ids))<<1 | 1
-		in.ids[s] = id
+	h := maphash.String(internSeed, s)
+	mask := uint64(len(in.slots) - 1)
+	i := h & mask
+	for ; in.slots[i] != 0; i = (i + 1) & mask {
+		if e := in.slots[i]; e&hashTag == h&hashTag && in.strs[uint32(e)-1] == s {
+			return uint64(uint32(e)-1)<<1 | 1
+		}
 	}
-	return id
+	if 4*(len(in.strs)+1) > 3*len(in.slots) {
+		in.grow()
+		mask = uint64(len(in.slots) - 1)
+		i = h & mask
+		for in.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+	}
+	in.strs = append(in.strs, s)
+	in.slots[i] = h&hashTag | uint64(len(in.strs))
+	return uint64(len(in.strs)-1)<<1 | 1
+}
+
+// grow doubles the slot table, keeping the load factor at most 3/4.
+func (in *Interner) grow() {
+	old := in.slots
+	in.slots = make([]uint64, 2*len(old))
+	mask := uint64(len(in.slots) - 1)
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := maphash.String(internSeed, in.strs[uint32(e)-1]) & mask
+		for in.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		in.slots[i] = e
+	}
 }
 
 // Code returns the symbol ID of a value: constants intern like Const;
@@ -49,7 +99,7 @@ func (in *Interner) Code(v Value) uint64 {
 }
 
 // Len returns the number of distinct constants interned so far.
-func (in *Interner) Len() int { return len(in.ids) }
+func (in *Interner) Len() int { return len(in.strs) }
 
 // AppendKey appends a set-membership encoding of v to dst: a tag byte
 // keeping constants and variables in disjoint namespaces (so a constant

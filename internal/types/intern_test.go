@@ -1,6 +1,9 @@
 package types
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestInternerCodesMirrorEq(t *testing.T) {
 	in := NewInterner()
@@ -120,5 +123,28 @@ func TestInternerConcurrentReads(t *testing.T) {
 		if !<-done {
 			t.Fatal("concurrent readers saw inconsistent codes")
 		}
+	}
+}
+
+func TestInternerGrowsDense(t *testing.T) {
+	// Thousands of constants force many table doublings; codes must stay
+	// dense in first-intern order and survive every rehash.
+	in := NewInterner()
+	const n = 20000
+	for i := 0; i < n; i++ {
+		if got, want := in.Const(fmt.Sprintf("c%d", i)), uint64(i)<<1|1; got != want {
+			t.Fatalf("Const(c%d) = %d, want %d", i, got, want)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		if got, want := in.Const(fmt.Sprintf("c%d", i)), uint64(i)<<1|1; got != want {
+			t.Fatalf("re-interned c%d = %d, want %d", i, got, want)
+		}
+	}
+	if in.Len() != n {
+		t.Fatalf("Len = %d, want %d", in.Len(), n)
+	}
+	if in.Const("") != uint64(n)<<1|1 {
+		t.Fatal("the empty constant is an ordinary new constant")
 	}
 }
