@@ -3,7 +3,8 @@
 # tracking. Emits BENCH_detect.json (bulk detection), BENCH_incr.json
 # (incremental session vs per-delta re-detection), BENCH_stream.json
 # (time-to-first-violation via Checker.Violations vs full Detect on the
-# dirty 10k-tuple workload), BENCH_serve.json (cindserve's violation
+# dirty 10k-tuple workload, plus the stream encoder's ns/violation per
+# encoding), BENCH_serve.json (cindserve's violation
 # streaming throughput per negotiated encoding — ndjson/json/binary, each
 # as the thin-client serving rate and the _decoded end-to-end rate — vs
 # the direct in-process iterator),
@@ -26,7 +27,10 @@ go test -bench=ViolationDetection -benchmem -run '^$' -json "$@" . > BENCH_detec
 # iteration counts drift the instance far past the stated 10k tuples.
 go test -bench=Incremental -benchmem -run '^$' -benchtime=500x -json . > BENCH_incr.json
 
-go test -bench=StreamFirstViolation -benchmem -run '^$' -json "$@" . > BENCH_stream.json
+# The stream benchmarks: time-to-first-violation at the facade, and the
+# per-violation cost of the stream encoder in each encoding
+# (BenchmarkStreamEncode/{ndjson,json,binary} in internal/stream).
+go test -bench='StreamFirstViolation|StreamEncode' -benchmem -run '^$' -json "$@" . ./internal/stream > BENCH_stream.json
 
 # Served vs direct streamed-violations throughput: the violations endpoint
 # in every negotiated encoding (serving rate + _decoded end-to-end rate)

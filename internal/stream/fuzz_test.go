@@ -95,30 +95,47 @@ func FuzzStreamDecode(f *testing.F) {
 	})
 }
 
-// TestRegenerateFuzzCorpus rewrites the committed seed corpus under
-// testdata/fuzz/FuzzStreamDecode when STREAM_REGEN_CORPUS=1 — run it after
-// changing the binary format, commit the result. Otherwise it verifies the
-// committed corpus exists and parses.
+// fuzzCorpora returns the committed seed corpus of each fuzz target: file
+// bodies in the go test fuzz v1 format, one per seed.
+func fuzzCorpora() map[string][]string {
+	out := map[string][]string{}
+	for _, seed := range seedStreams() {
+		out["FuzzStreamDecode"] = append(out["FuzzStreamDecode"], fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed))
+	}
+	for _, seed := range jsonSeeds() {
+		out["FuzzJSONEncoding"] = append(out["FuzzJSONEncoding"], seed.corpusEntry())
+	}
+	return out
+}
+
+// TestRegenerateFuzzCorpus rewrites the committed seed corpora under
+// testdata/fuzz when STREAM_REGEN_CORPUS=1 — run it after changing the
+// binary format or a seed list, commit the result. Otherwise it verifies
+// that every committed seed is present, byte for byte.
 func TestRegenerateFuzzCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzStreamDecode")
-	if os.Getenv("STREAM_REGEN_CORPUS") == "1" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for i, seed := range seedStreams() {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+	regen := os.Getenv("STREAM_REGEN_CORPUS") == "1"
+	for target, bodies := range fuzzCorpora() {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if regen {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("committed fuzz corpus missing (run with STREAM_REGEN_CORPUS=1): %v", err)
-	}
-	if len(ents) == 0 {
-		t.Fatal("fuzz corpus directory is empty")
+		for i, body := range bodies {
+			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+			if regen {
+				if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			got, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatalf("committed fuzz corpus incomplete (run with STREAM_REGEN_CORPUS=1): %v", err)
+			}
+			if string(got) != body {
+				t.Fatalf("%s is stale (run with STREAM_REGEN_CORPUS=1)", name)
+			}
+		}
 	}
 }

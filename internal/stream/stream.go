@@ -22,6 +22,15 @@
 //     error message, 'Z' the end-of-stream trailer carrying the violation
 //     count. A stream that does not end in a 'Z' or 'E' frame is truncated.
 //
+// The NDJSON and JSONArray bytes are a promise to clients: each violation
+// object, trailer and error record is exactly what encoding/json's Marshal
+// writes for it — member order as in Violation, HTML escaping on ('<', '>'
+// and '&' as \u003c, \u003e, \u0026), invalid UTF-8 as \ufffd, U+2028 and
+// U+2029 escaped — so any JSON parser, and any byte-level cache or
+// comparison, sees one stable form. The package writes them with
+// hand-written appenders (json.go), not through encoding/json, and the
+// tests hold the two together byte for byte.
+//
 // In every encoding the Decoder surfaces exactly one of three terminal
 // states: clean end (io.EOF, with the trailer count cross-checked against
 // the violations received), a server-reported error (*RemoteError), or

@@ -1,14 +1,6 @@
 package stream
 
-import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"cind/internal/wal"
-)
+import "io"
 
 // WireWriter streams already-decoded wire violations to out in one
 // negotiated encoding — the relay half of a scatter-gather router, which
@@ -24,29 +16,14 @@ import (
 // 'E' frames that only may differ in batch boundaries (the Decoder is
 // indifferent to those).
 type WireWriter struct {
-	out   io.Writer
-	fl    Flusher
-	enc   Encoding
-	buf   bytes.Buffer
-	jenc  *json.Encoder
-	werr  error
-	count int64
-
-	flushBytes int
-	started    bool // JSONArray prologue written
-	closed     bool
+	e      encoder
+	werr   error
+	closed bool
 }
 
 // NewWireWriter returns a wire-level stream writer over out. fl may be nil.
 func NewWireWriter(out io.Writer, fl Flusher, enc Encoding) *WireWriter {
-	w := &WireWriter{out: out, fl: fl, enc: enc, flushBytes: DefaultFlushBytes}
-	if enc == Binary {
-		w.buf.WriteByte('V')
-	}
-	if enc == NDJSON {
-		w.jenc = json.NewEncoder(&w.buf)
-	}
-	return w
+	return &WireWriter{e: newEncoder(out, fl, enc, DefaultFlushBytes, nil)}
 }
 
 // Send encodes one violation. It returns false once the underlying writer
@@ -55,32 +32,9 @@ func (w *WireWriter) Send(v *Violation) bool {
 	if w.werr != nil || w.closed {
 		return false
 	}
-	switch w.enc {
-	case JSONArray:
-		if !w.started {
-			w.buf.WriteString(`{"violations":[`)
-			w.started = true
-		} else {
-			w.buf.WriteByte(',')
-		}
-		b, err := json.Marshal(v)
-		if err != nil {
-			w.werr = err
-			return false
-		}
-		w.buf.Write(b)
-	case Binary:
-		b := w.buf.AvailableBuffer()
-		w.buf.Write(appendBinaryWire(b, v))
-	default:
-		if err := w.jenc.Encode(v); err != nil {
-			w.werr = err
-			return false
-		}
-	}
-	w.count++
-	if w.count == 1 || w.buffered() >= w.flushBytes {
-		w.flush()
+	w.e.wire(v)
+	if w.e.due() {
+		w.werr = w.e.flush()
 	}
 	return w.werr == nil
 }
@@ -100,105 +54,12 @@ func (w *WireWriter) CloseError(msg string) error {
 }
 
 // Count returns the number of violations written so far.
-func (w *WireWriter) Count() int64 { return w.count }
-
-func (w *WireWriter) buffered() int {
-	if w.enc == Binary {
-		return w.buf.Len() - 1 // the standing 'V' tag is not payload
-	}
-	return w.buf.Len()
-}
-
-func (w *WireWriter) flush() {
-	if w.werr != nil {
-		return
-	}
-	var err error
-	switch w.enc {
-	case Binary:
-		if w.buf.Len() <= 1 {
-			return
-		}
-		_, err = wal.AppendFrame(w.out, w.buf.Bytes())
-		w.buf.Reset()
-		w.buf.WriteByte('V')
-	default:
-		if w.buf.Len() == 0 {
-			return
-		}
-		_, err = w.out.Write(w.buf.Bytes())
-		w.buf.Reset()
-	}
-	if err != nil {
-		w.werr = err
-		return
-	}
-	if w.fl != nil {
-		w.fl.Flush()
-	}
-}
+func (w *WireWriter) Count() int64 { return w.e.count }
 
 func (w *WireWriter) finish(endErr string) error {
-	if w.closed {
-		return w.werr
+	if !w.closed && w.werr == nil {
+		w.werr = w.e.terminal(endErr)
 	}
 	w.closed = true
-	switch w.enc {
-	case Binary:
-		w.flush()
-		if w.werr != nil {
-			return w.werr
-		}
-		var payload []byte
-		if endErr != "" {
-			if len(endErr) > wal.MaxRecord-1 {
-				endErr = endErr[:wal.MaxRecord-1]
-			}
-			payload = append([]byte{'E'}, endErr...)
-		} else {
-			var tmp [binary.MaxVarintLen64]byte
-			n := binary.PutUvarint(tmp[:], uint64(w.count))
-			payload = append([]byte{'Z'}, tmp[:n]...)
-		}
-		if _, err := wal.AppendFrame(w.out, payload); err != nil {
-			w.werr = err
-			return w.werr
-		}
-	case JSONArray:
-		if !w.started {
-			w.buf.WriteString(`{"violations":[`)
-		}
-		w.buf.WriteByte(']')
-		if endErr != "" {
-			b, _ := json.Marshal(endErr)
-			w.buf.WriteString(`,"error":`)
-			w.buf.Write(b)
-			w.buf.WriteString("}\n")
-		} else {
-			fmt.Fprintf(&w.buf, `,"done":true,"count":%d}`+"\n", w.count)
-		}
-		if _, err := w.out.Write(w.buf.Bytes()); err != nil {
-			w.buf.Reset()
-			w.werr = err
-			return w.werr
-		}
-		w.buf.Reset()
-	default:
-		if endErr != "" {
-			b, _ := json.Marshal(endErr)
-			fmt.Fprintf(&w.buf, `{"error":%s}`+"\n", b)
-		} else {
-			fmt.Fprintf(&w.buf, `{"done":true,"count":%d}`+"\n", w.count)
-		}
-		if _, err := w.out.Write(w.buf.Bytes()); err != nil {
-			w.buf.Reset()
-			w.werr = err
-			return w.werr
-		}
-		w.buf.Reset()
-	}
-	if w.fl != nil {
-		w.fl.Flush()
-	}
 	return w.werr
 }

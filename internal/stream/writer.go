@@ -1,16 +1,11 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
 
 	"cind/internal/detect"
-	"cind/internal/wal"
 )
 
 // Flusher is the subset of http.Flusher the Writer drives; nil disables
@@ -55,12 +50,12 @@ const (
 // with a pathological single violation cannot pin a huge buffer forever.
 const maxPooledBuf = 1 << 20
 
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Writer streams violations to out in one negotiated encoding, moving all
-// conversion, encoding and flushing off the caller's loop: Send appends to
-// a micro-batch and hands full batches to a per-stream encoder goroutine;
-// the goroutine encodes, flushes at FlushBytes or FlushInterval (whichever
+// encoding and flushing off the caller's loop: Send appends to a
+// micro-batch and hands full batches to a per-stream encoder goroutine; the
+// goroutine encodes, flushes at FlushBytes or FlushInterval (whichever
 // first, with the very first violation flushed eagerly so first-violation
 // latency stays one detection group), and writes the encoding's terminal
 // record when the stream closes.
@@ -88,8 +83,6 @@ type Writer struct {
 
 	wake chan struct{}
 	done chan struct{}
-
-	scratch []byte // encoder-goroutine scratch for binary violation bodies
 
 	count int64 // violations written; read via Count after Close
 }
@@ -224,21 +217,14 @@ func (w *Writer) setWerr(err error) {
 // size or deadline, emit the terminal record on close.
 func (w *Writer) run() {
 	defer close(w.done)
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	bp := bufPool.Get().(*[]byte)
+	e := newEncoder(w.out, w.fl, w.enc, w.opts.FlushBytes, *bp)
 	defer func() {
-		if buf.Cap() <= maxPooledBuf {
-			buf.Reset()
-			bufPool.Put(buf)
+		if cap(e.buf) <= maxPooledBuf {
+			*bp = e.buf[:0]
+			bufPool.Put(bp)
 		}
 	}()
-	if w.enc == Binary {
-		buf.WriteByte('V')
-	}
-	var jenc *json.Encoder
-	if w.enc == NDJSON {
-		jenc = json.NewEncoder(buf)
-	}
 	var timer *time.Timer
 	var flushC <-chan time.Time
 	defer func() {
@@ -247,8 +233,6 @@ func (w *Writer) run() {
 		}
 	}()
 	failed := false
-	started := false // JSONArray prologue written
-	var count int64
 	for {
 		w.mu.Lock()
 		batches := w.pending
@@ -264,17 +248,9 @@ func (w *Writer) run() {
 				if failed {
 					break
 				}
-				if err := w.encodeOne(buf, jenc, &batch[i], &started); err != nil {
-					w.setWerr(err)
-					failed = true
-					break
-				}
-				count++
-				// The first violation is flushed eagerly: first-violation
-				// latency stays one detection group, not one fill of the
-				// buffer; after that, size governs.
-				if count == 1 || w.buffered(buf) >= w.opts.FlushBytes {
-					failed = w.flush(buf)
+				e.violation(&batch[i])
+				if e.due() {
+					failed = w.failed(e.flush())
 					flushC = nil
 				}
 			}
@@ -291,16 +267,16 @@ func (w *Writer) run() {
 			w.mu.Unlock()
 		}
 		if closed {
-			w.count = count
+			w.count = e.count
 			if w.opts.BeforeTerminal != nil {
-				w.opts.BeforeTerminal(count)
+				w.opts.BeforeTerminal(e.count)
 			}
 			if !failed {
-				w.writeTerminal(buf, endErr, count, started)
+				w.failed(e.terminal(endErr))
 			}
 			return
 		}
-		if !failed && w.buffered(buf) > 0 && flushC == nil {
+		if !failed && e.buffered() > 0 && flushC == nil {
 			if timer == nil {
 				timer = time.NewTimer(w.opts.FlushInterval)
 			} else {
@@ -313,132 +289,16 @@ func (w *Writer) run() {
 		case <-flushC:
 			flushC = nil
 			if !failed {
-				failed = w.flush(buf)
+				failed = w.failed(e.flush())
 			}
 		}
 	}
 }
 
-// buffered is the number of payload bytes awaiting a flush.
-func (w *Writer) buffered(buf *bytes.Buffer) int {
-	if w.enc == Binary {
-		return buf.Len() - 1 // the standing 'V' tag is not payload
-	}
-	return buf.Len()
-}
-
-// encodeOne appends one violation to the encode buffer.
-func (w *Writer) encodeOne(buf *bytes.Buffer, jenc *json.Encoder, v *detect.Violation, started *bool) error {
-	switch w.enc {
-	case JSONArray:
-		if !*started {
-			buf.WriteString(`{"violations":[`)
-			*started = true
-		} else {
-			buf.WriteByte(',')
-		}
-		b, err := json.Marshal(Convert(*v))
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
-		return nil
-	case Binary:
-		w.scratch = appendBinaryViolation(w.scratch[:0], *v)
-		buf.Write(w.scratch)
-		return nil
-	default:
-		return jenc.Encode(Convert(*v))
-	}
-}
-
-// flush sends the buffered payload to the client and reports failure. For
-// Binary the buffer is one 'V' batch payload, framed exactly like a WAL
-// record; the buffer is re-seeded with the tag for the next batch.
-func (w *Writer) flush(buf *bytes.Buffer) bool {
-	var err error
-	switch w.enc {
-	case Binary:
-		if buf.Len() <= 1 {
-			return false
-		}
-		_, err = wal.AppendFrame(w.out, buf.Bytes())
-		buf.Reset()
-		buf.WriteByte('V')
-	default:
-		if buf.Len() == 0 {
-			return false
-		}
-		_, err = w.out.Write(buf.Bytes())
-		buf.Reset()
-	}
+// failed records a write error, if any, and reports whether there was one.
+func (w *Writer) failed(err error) bool {
 	if err != nil {
 		w.setWerr(err)
-		return true
 	}
-	if w.fl != nil {
-		w.fl.Flush()
-	}
-	return false
-}
-
-// writeTerminal flushes what remains and writes the encoding's terminal
-// record: the trailer (clean end, with the count) or the error record.
-func (w *Writer) writeTerminal(buf *bytes.Buffer, endErr string, count int64, started bool) {
-	switch w.enc {
-	case Binary:
-		if w.flush(buf) {
-			return
-		}
-		var payload []byte
-		if endErr != "" {
-			if len(endErr) > wal.MaxRecord-1 {
-				endErr = endErr[:wal.MaxRecord-1]
-			}
-			payload = append([]byte{'E'}, endErr...)
-		} else {
-			var tmp [binary.MaxVarintLen64]byte
-			n := binary.PutUvarint(tmp[:], uint64(count))
-			payload = append([]byte{'Z'}, tmp[:n]...)
-		}
-		if _, err := wal.AppendFrame(w.out, payload); err != nil {
-			w.setWerr(err)
-			return
-		}
-	case JSONArray:
-		if !started {
-			buf.WriteString(`{"violations":[`)
-		}
-		buf.WriteByte(']')
-		if endErr != "" {
-			b, _ := json.Marshal(endErr)
-			buf.WriteString(`,"error":`)
-			buf.Write(b)
-			buf.WriteString("}\n")
-		} else {
-			fmt.Fprintf(buf, `,"done":true,"count":%d}`+"\n", count)
-		}
-		if _, err := w.out.Write(buf.Bytes()); err != nil {
-			buf.Reset()
-			w.setWerr(err)
-			return
-		}
-		buf.Reset()
-	default: // NDJSON: trailer line, or the errorWire-shaped error line
-		if endErr != "" {
-			b, _ := json.Marshal(endErr)
-			fmt.Fprintf(buf, `{"error":%s}`+"\n", b)
-		} else {
-			fmt.Fprintf(buf, `{"done":true,"count":%d}`+"\n", count)
-		}
-		if _, err := w.out.Write(buf.Bytes()); err != nil {
-			buf.Reset()
-			w.setWerr(err)
-			return
-		}
-		buf.Reset()
-	}
-	if w.fl != nil {
-		w.fl.Flush()
-	}
+	return err != nil
 }
