@@ -95,7 +95,7 @@ func (t Tuple) String() string {
 type Instance struct {
 	rel     *schema.Relation
 	tuples  []Tuple
-	seqs    []int64 // parallel to tuples, strictly increasing
+	seqs    []int64          // parallel to tuples, strictly increasing
 	index   map[string]int64 // tuple key -> sequence number
 	nextSeq int64
 }
