@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"cind/internal/cfd"
+	"cind/internal/conc"
 	"cind/internal/consistency"
 	"cind/internal/constraint"
 	core "cind/internal/core"
@@ -414,8 +415,11 @@ func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 			// needs no lock (and Apply from inside the loop is fine).
 			rep := sess.Report().Truncate(c.cfg.limit)
 			c.mu.RUnlock()
+			// A cheap per-violation poll: ctx.Err() takes the context's
+			// mutex on every call.
+			stop := conc.StopFunc(ctx)
 			for _, v := range rep.CFD {
-				if ctx.Err() != nil {
+				if stop() {
 					yield(Violation{}, ctx.Err())
 					return
 				}
@@ -424,7 +428,7 @@ func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 				}
 			}
 			for _, v := range rep.CIND {
-				if ctx.Err() != nil {
+				if stop() {
 					yield(Violation{}, ctx.Err())
 					return
 				}

@@ -281,6 +281,40 @@ func TestCheckerDetectHonorsCancellation(t *testing.T) {
 	}
 }
 
+// TestCheckerViolationsSessionCancelMidStream: after the first Apply the
+// iterator walks the session's report; a cancel inside the loop ends the
+// stream with exactly one (zero Violation, ctx.Err()) pair.
+func TestCheckerViolationsSessionCancelMidStream(t *testing.T) {
+	sch, set := bankSet(t)
+	chk, err := cindapi.NewChecker(bank.Data(sch), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := chk.Apply(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen, errs int
+	for v, err := range chk.Violations(ctx) {
+		if err != nil {
+			if err != context.Canceled || v.Kind() != 0 {
+				t.Fatalf("terminal pair = (%v, %v), want (zero Violation, context.Canceled)", v, err)
+			}
+			errs++
+			continue
+		}
+		if errs > 0 {
+			t.Fatal("violation yielded after the terminal error")
+		}
+		seen++
+		cancel()
+	}
+	if seen != 1 || errs != 1 {
+		t.Fatalf("yielded %d violations and %d errors, want 1 and 1", seen, errs)
+	}
+}
+
 // TestCheckerViolationsMatchesDetect: the stream yields exactly the
 // report's violations (as a multiset), and WithLimit truncates the stream.
 func TestCheckerViolationsMatchesDetect(t *testing.T) {

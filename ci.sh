@@ -1,5 +1,5 @@
 #!/bin/sh
-# ci.sh — the repository's tier-1 gate plus vet, the cindlint
+# ci.sh — the repository's tier-1 gate plus gofmt, vet, the cindlint
 # static-analysis suite, the race detector, coverage floors, an examples
 # smoke run, and a short fuzz smoke.
 # Usage: ./ci.sh
@@ -25,6 +25,14 @@ check_coverage_floor() {
 
 echo "== go build ./..."
 go build ./...
+
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "ci: files not gofmt-formatted:" >&2
+	printf '%s\n' "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...

@@ -165,9 +165,9 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 	if w == 1 {
 		// Sequential fast path: one worker draining the units in order is
 		// behaviourally identical to the pool below — same violation
-		// order, same cancellation promptness — minus the per-violation
-		// channel handoff, which on a violation-dense database is most of
-		// the streaming cost. yield runs on this goroutine.
+		// order, same cancellation promptness — without the worker
+		// goroutines, the chunk handoff and the pool round trips. yield
+		// runs on this goroutine.
 		broke := false
 		send := func(v Violation) bool {
 			if broke || stop() || !yield(v) {
@@ -186,27 +186,52 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 		return ctx.Err()
 	}
 
-	// Workers hand violations to the consumer over ch; a send blocked on a
-	// slow consumer unblocks on cancellation, so a consumer break never
-	// strands a worker.
-	ch := make(chan Violation)
-	send := func(v Violation) bool {
-		select {
-		case ch <- v:
-			return true
-		case <-done:
-			return false
-		}
-	}
+	// Workers hand violations to the consumer in chunks over ch, so the
+	// channel handoff is paid per chunk, not per violation. A worker's
+	// flush limit starts at 1 and doubles up to chunkCap: the stream's
+	// first violation leaves at once, later ones travel in bulk. A chunk
+	// is also handed over when its unit ends, so no violation waits on
+	// another group. A flush blocked on a slow consumer unblocks on
+	// cancellation, so a consumer break never strands a worker. Spent
+	// chunks come back over free.
+	ch := make(chan *chunk)
+	free := make(chan *chunk, w)
 	var wg sync.WaitGroup
 	uch := make(chan func(send func(Violation) bool))
 	wg.Add(w)
 	for i := 0; i < w; i++ {
 		go func() {
 			defer wg.Done()
+			c, limit := nextChunk(free), 1
+			flush := func() bool {
+				if len(c.vs) == 0 {
+					return true
+				}
+				select {
+				case ch <- c:
+				case <-done:
+					c.vs = c.vs[:0]
+					return false
+				}
+				c, limit = nextChunk(free), min(2*limit, chunkCap)
+				return true
+			}
+			// send polls stop on every violation, not only at a flush:
+			// the groups poll it only every few hundred violations, and
+			// a buffered send would otherwise run a group on to its next
+			// poll after the consumer broke.
+			send := func(v Violation) bool {
+				if stop() {
+					return false
+				}
+				c.vs = append(c.vs, v)
+				return len(c.vs) < limit || flush()
+			}
 			for u := range uch {
 				u(send)
+				flush()
 			}
+			chunkPool.Put(c)
 		}()
 	}
 	go func() {
@@ -223,18 +248,55 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 		close(ch)
 	}()
 
+	// A chunk holds one worker's violations of one group in engine order,
+	// and one worker's chunks arrive in the order it sent them, so yielding
+	// each chunk in order keeps every group's order. Cancellation is polled
+	// through stop before every yield, so yield never runs after a cancel.
 	broke := false
-	for v := range ch {
-		if broke {
-			continue // draining until the workers notice the cancel
+	for c := range ch {
+		for i := range c.vs {
+			if broke {
+				break // draining until the workers notice the cancel
+			}
+			if stop() || !yield(c.vs[i]) {
+				broke = true
+				cancel()
+			}
 		}
-		if ctx.Err() != nil || !yield(v) {
-			broke = true
-			cancel()
+		c.vs = c.vs[:0]
+		select {
+		case free <- c:
+		default:
+			chunkPool.Put(c)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	close(free) // every worker has exited: nothing takes from free now
+	for c := range free {
+		chunkPool.Put(c)
 	}
-	return nil
+	return ctx.Err()
+}
+
+// chunkCap is the most violations a worker hands the consumer at once.
+// It bounds the memory a chunk holds and how far a worker runs ahead of
+// the consumer; at 256 the per-chunk channel handoff is noise.
+const chunkCap = 256
+
+// chunk is one worker-to-consumer handoff of violations; the pointer keeps
+// the pool and channel round trips allocation-free.
+type chunk struct{ vs []Violation }
+
+// chunkPool keeps empty chunks across Each calls, so a stream allocates
+// none in the steady state.
+var chunkPool = sync.Pool{New: func() any { return &chunk{vs: make([]Violation, 0, chunkCap)} }}
+
+// nextChunk takes a spent chunk back from the consumer, or one from the
+// pool when none is waiting.
+func nextChunk(free chan *chunk) *chunk {
+	select {
+	case c := <-free:
+		return c
+	default:
+		return chunkPool.Get().(*chunk)
+	}
 }

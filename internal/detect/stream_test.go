@@ -110,39 +110,108 @@ func TestEachSequentialSingleConstraintOrder(t *testing.T) {
 	}
 }
 
+// TestEachParallelPerConstraintOrder pins the within-group order on the
+// worker pool: each constraint's violations arrive in exactly the batch
+// order, however the groups interleave. The groups hold thousands of
+// violations each, so the workers hand every group over in many chunks.
+func TestEachParallelPerConstraintOrder(t *testing.T) {
+	db, cfds, cinds := denseDirtyBank(600, 20)
+	batch := Run(db, cfds, cinds, Options{})
+	want := map[string][]string{}
+	for _, v := range batch.CFD {
+		want[v.CFD.ID] = append(want[v.CFD.ID], CFDViolation(v).String())
+	}
+	for _, v := range batch.CIND {
+		want[v.CIND.ID] = append(want[v.CIND.ID], CINDViolation(v).String())
+	}
+	if n := len(want["phi2"]); n < 4*chunkCap {
+		t.Fatalf("phi2 has %d violations; too few to span several chunks", n)
+	}
+	for _, p := range []int{2, 4} {
+		got := map[string][]string{}
+		for _, v := range collectEach(t, context.Background(), db, cfds, cinds, Options{Parallel: p}) {
+			got[v.ConstraintID()] = append(got[v.ConstraintID()], v.String())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("parallel %d: violations of %d constraints, batch has %d", p, len(got), len(want))
+		}
+		for id, ws := range want {
+			gs := got[id]
+			if len(gs) != len(ws) {
+				t.Fatalf("parallel %d: %s has %d violations, batch %d", p, id, len(gs), len(ws))
+			}
+			for i := range ws {
+				if gs[i] != ws[i] {
+					t.Fatalf("parallel %d: %s order diverges at %d:\nstream: %s\nbatch:  %s", p, id, i, gs[i], ws[i])
+				}
+			}
+		}
+	}
+}
+
+// TestEachNoYieldAfterCancel cancels the context from inside yield, partway
+// through a chunk: yield must not be called again, on the sequential path
+// or the worker pool.
+func TestEachNoYieldAfterCancel(t *testing.T) {
+	db, cfds, cinds := denseDirtyBank(600, 20)
+	for _, p := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls, after := 0, 0
+		err := Each(ctx, db, cfds, cinds, Options{Parallel: p}, func(Violation) bool {
+			if ctx.Err() != nil {
+				after++
+			}
+			if calls++; calls == chunkCap+chunkCap/2 {
+				cancel()
+			}
+			return true
+		})
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("parallel %d: Each after cancel = %v, want context.Canceled", p, err)
+		}
+		if after != 0 {
+			t.Fatalf("parallel %d: yield called %d times after the cancel", p, after)
+		}
+	}
+}
+
 // TestEachEarlyBreakStopsWorkers is the satellite cancellation test for the
 // consumer-break direction: on a violation-heavy workload whose full
 // enumeration is large, breaking at the first violation must return
 // promptly — without enumerating the rest — and must not leak engine
-// goroutines.
+// goroutines. It runs on the default pool and on an explicit 2-worker
+// pool, so the chunked handoff is exercised whatever GOMAXPROCS is.
 func TestEachEarlyBreakStopsWorkers(t *testing.T) {
 	db, cfds, cinds := denseDirtyBank(4000, 100)
-	before := runtime.NumGoroutine()
+	for _, opts := range []Options{{}, {Parallel: 2}} {
+		before := runtime.NumGoroutine()
 
-	start := time.Now()
-	seen := 0
-	err := Each(context.Background(), db, cfds, cinds, Options{}, func(v Violation) bool {
-		seen++
-		return false // break at the first violation
-	})
-	if err != nil {
-		t.Fatalf("consumer break is not an error, got %v", err)
-	}
-	if seen != 1 {
-		t.Fatalf("yield called %d times after returning false", seen)
-	}
-	// Each returns only after every worker has exited; the goroutine count
-	// must settle back to the baseline (allow the runtime a moment for
-	// exits to be observed).
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Fatalf("engine leaked goroutines: %d before, %d after", before, g)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("early break took %v; workers did not stop promptly", elapsed)
+		start := time.Now()
+		seen := 0
+		err := Each(context.Background(), db, cfds, cinds, opts, func(v Violation) bool {
+			seen++
+			return false // break at the first violation
+		})
+		if err != nil {
+			t.Fatalf("parallel %d: consumer break is not an error, got %v", opts.Parallel, err)
+		}
+		if seen != 1 {
+			t.Fatalf("parallel %d: yield called %d times after returning false", opts.Parallel, seen)
+		}
+		// Each returns only after every worker has exited; the goroutine
+		// count must settle back to the baseline (allow the runtime a
+		// moment for exits to be observed).
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > before {
+			t.Fatalf("parallel %d: engine leaked goroutines: %d before, %d after", opts.Parallel, before, g)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Fatalf("parallel %d: early break took %v; workers did not stop promptly", opts.Parallel, elapsed)
+		}
 	}
 }
 

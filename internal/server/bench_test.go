@@ -172,9 +172,18 @@ func BenchmarkServeViolationsThroughput(b *testing.B) {
 
 // BenchmarkDirectViolationsThroughput is the in-process baseline: the same
 // workload drained through Checker.Violations directly, no HTTP, no
-// encoding.
-func BenchmarkDirectViolationsThroughput(b *testing.B) {
-	chk, _ := bankChecker(b)
+// encoding, on the default worker pool.
+func BenchmarkDirectViolationsThroughput(b *testing.B) { directThroughput(b) }
+
+// BenchmarkDirectViolationsThroughputParallel1 is the same drain with one
+// worker: detect.Each's sequential path, which yields on the engine's own
+// goroutine, against the pool's chunked worker handoff above.
+func BenchmarkDirectViolationsThroughputParallel1(b *testing.B) {
+	directThroughput(b, cind.WithParallelism(1))
+}
+
+func directThroughput(b *testing.B, opts ...cind.CheckerOption) {
+	chk, _ := bankChecker(b, opts...)
 	in := chk.Database().Instance("checking")
 	for _, rec := range parseCSVRows(b, denseDirtyCSV(1000, 25)) {
 		in.Insert(cind.Consts(rec...))

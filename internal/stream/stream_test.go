@@ -373,6 +373,55 @@ func TestFlushPolicy(t *testing.T) {
 	}
 }
 
+// lineWriter counts the newline-terminated records written to it.
+type lineWriter struct {
+	mu    sync.Mutex
+	lines int
+}
+
+func (w *lineWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.lines += bytes.Count(p, []byte("\n"))
+	return len(p), nil
+}
+
+func (w *lineWriter) count() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.lines
+}
+
+// TestPushDeadline: a micro-batch that never fills still reaches the
+// encoder. With a batch size no stream reaches, the first Send after
+// PushInterval must push what the micro-batch holds, so both violations
+// arrive before Close, which would otherwise be the first push.
+func TestPushDeadline(t *testing.T) {
+	vs := testViolations(t, 4)
+	out := &lineWriter{}
+	w := NewWriter(out, nil, NDJSON, Options{
+		FlushInterval: time.Millisecond,
+		BatchSize:     1 << 20,
+		PushInterval:  time.Millisecond,
+	})
+	w.Send(vs[0])
+	time.Sleep(10 * time.Millisecond)
+	w.Send(vs[1])
+	deadline := time.Now().Add(5 * time.Second)
+	for out.count() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 violations reached the sink before Close", out.count())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.count(); got != 3 { // two violations and the trailer
+		t.Fatalf("stream has %d lines, want 3", got)
+	}
+}
+
 // failAfterWriter fails every Write after the first n bytes.
 type failAfterWriter struct {
 	n       int

@@ -3,6 +3,7 @@ package stream
 import (
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cind/internal/detect"
@@ -26,8 +27,12 @@ type Options struct {
 	// encoder goroutine in groups of this size, so the detection hot loop
 	// pays one mutex handoff per batch, not per violation.
 	BatchSize int
-	// PushInterval bounds how long a violation may sit in a partially
-	// filled micro-batch before Send pushes it anyway.
+	// PushInterval bounds how long a partially filled micro-batch may wait
+	// for the producer. The encoder goroutine runs one timer of this
+	// length, started with the stream and restarted on every batch it
+	// receives; when it fires it raises a flag, and the next Send pushes
+	// whatever the micro-batch holds. Send itself never reads the clock,
+	// and a stream with no batches in flight does not tick.
 	PushInterval time.Duration
 	// BeforeTerminal, when set, is called once with the number of
 	// violations written, on the encoder goroutine, just before the
@@ -37,8 +42,8 @@ type Options struct {
 	BeforeTerminal func(count int64)
 }
 
-// Defaults: flush at 32KiB or 50ms, whichever first; micro-batches of 256
-// pushed at least every 5ms.
+// Defaults: flush at 32KiB or 50ms, whichever first; micro-batches of 256,
+// a partial one pushed by the first Send 5ms after the last handoff.
 const (
 	DefaultFlushBytes    = 32 << 10
 	DefaultFlushInterval = 50 * time.Millisecond
@@ -51,6 +56,19 @@ const (
 const maxPooledBuf = 1 << 20
 
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBatch caps the micro-batch buffers a Writer allocates up front
+// and keeps for reuse, in violations; a larger BatchSize grows the buffer
+// by append instead.
+const maxPooledBatch = 4096
+
+// batchSet is one stream's spare micro-batch buffers. When a stream ends,
+// its encoder goroutine hands the whole set to batchPool, and the next
+// Writer starts from it, so a stream allocates no batch buffers in the
+// steady state.
+type batchSet struct{ bufs [][]detect.Violation }
+
+var batchPool = sync.Pool{New: func() any { return new(batchSet) }}
 
 // Writer streams violations to out in one negotiated encoding, moving all
 // encoding and flushing off the caller's loop: Send appends to a
@@ -70,13 +88,17 @@ type Writer struct {
 
 	// Producer-side state, guarded by the single-caller contract.
 	micro    []detect.Violation
-	lastPush time.Time
 	okCached bool
+
+	// pushDue is raised by the encoder goroutine when PushInterval has
+	// passed since the last batch it received, and lowered by push.
+	pushDue atomic.Bool
 
 	mu      sync.Mutex
 	full    sync.Cond            // producer waits here while pending is at capacity
 	pending [][]detect.Violation // full micro-batches awaiting encode
 	spare   [][]detect.Violation // spent batch buffers for the producer to reuse
+	set     *batchSet            // where spare came from; returned to batchPool at the end
 	closed  bool
 	endErr  string
 	werr    error
@@ -102,14 +124,17 @@ func NewWriter(out io.Writer, fl Flusher, enc Encoding, opts Options) *Writer {
 	if opts.PushInterval <= 0 {
 		opts.PushInterval = defaultPushInterval
 	}
+	set := batchPool.Get().(*batchSet)
 	w := &Writer{
 		out: out, fl: fl, enc: enc, opts: opts,
-		micro:    make([]detect.Violation, 0, opts.BatchSize),
-		lastPush: time.Now(),
+		spare:    set.bufs,
+		set:      set,
 		okCached: true,
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
+	set.bufs = nil
+	w.micro = w.newBatch()
 	w.full.L = &w.mu
 	go w.run()
 	return w
@@ -118,10 +143,10 @@ func NewWriter(out io.Writer, fl Flusher, enc Encoding, opts Options) *Writer {
 // Send queues one violation. It returns false once the underlying writer
 // has failed (the client is gone) — the caller should stop iterating. The
 // report is conservative by up to one micro-batch: a failure is observed at
-// the next batch handoff, which PushInterval bounds.
+// the next batch handoff, which BatchSize or PushInterval bounds.
 func (w *Writer) Send(v detect.Violation) bool {
 	w.micro = append(w.micro, v)
-	if len(w.micro) >= w.opts.BatchSize || time.Since(w.lastPush) >= w.opts.PushInterval {
+	if len(w.micro) >= w.opts.BatchSize || w.pushDue.Load() {
 		return w.push()
 	}
 	return w.okCached
@@ -139,19 +164,14 @@ const maxPendingBatches = 4
 // per-violation copy — takes a recycled buffer for the next batch, and
 // samples writer health. It blocks while the encode backlog is full.
 func (w *Writer) push() bool {
-	w.lastPush = time.Now()
+	w.pushDue.Store(false)
 	w.mu.Lock()
 	for len(w.pending) >= maxPendingBatches && !w.closed && w.werr == nil {
 		w.full.Wait()
 	}
 	if len(w.micro) > 0 && !w.closed {
 		w.pending = append(w.pending, w.micro)
-		if n := len(w.spare); n > 0 {
-			w.micro = w.spare[n-1][:0]
-			w.spare = w.spare[:n-1]
-		} else {
-			w.micro = make([]detect.Violation, 0, w.opts.BatchSize)
-		}
+		w.micro = w.newBatch()
 	}
 	ok := w.werr == nil && !w.closed
 	w.mu.Unlock()
@@ -161,6 +181,17 @@ func (w *Writer) push() bool {
 	default:
 	}
 	return ok
+}
+
+// newBatch takes an empty micro-batch buffer from spare, or allocates one
+// when none is left. The caller holds mu, or is NewWriter.
+func (w *Writer) newBatch() []detect.Violation {
+	if n := len(w.spare); n > 0 {
+		b := w.spare[n-1]
+		w.spare = w.spare[:n-1]
+		return b[:0]
+	}
+	return make([]detect.Violation, 0, min(w.opts.BatchSize, maxPooledBatch))
 }
 
 // Close pushes any buffered violations, writes the encoding's clean
@@ -214,7 +245,8 @@ func (w *Writer) setWerr(err error) {
 }
 
 // run is the encoder goroutine: drain pending batches, encode, flush by
-// size or deadline, emit the terminal record on close.
+// size or deadline, raise the push deadline, emit the terminal record on
+// close.
 func (w *Writer) run() {
 	defer close(w.done)
 	bp := bufPool.Get().(*[]byte)
@@ -232,16 +264,24 @@ func (w *Writer) run() {
 			timer.Stop()
 		}
 	}()
+	// The push deadline runs from the stream's start, and then from each
+	// batch received: PushInterval after the last handoff, the producer's
+	// next Send pushes.
+	pushT := time.NewTimer(w.opts.PushInterval)
+	defer pushT.Stop()
 	failed := false
+	var batches [][]detect.Violation
 	for {
+		// Swap pending with the spent slice of the last round, so the
+		// backlog list itself is not reallocated every round.
 		w.mu.Lock()
-		batches := w.pending
-		w.pending = nil
+		batches, w.pending = w.pending, batches[:0]
 		closed := w.closed
 		endErr := w.endErr
 		w.mu.Unlock()
 		if len(batches) > 0 {
 			w.full.Broadcast()
+			pushT.Reset(w.opts.PushInterval)
 		}
 		for _, batch := range batches {
 			for i := range batch {
@@ -256,17 +296,25 @@ func (w *Writer) run() {
 			}
 		}
 		if len(batches) > 0 {
-			// Recycle the spent batch buffers; the bound keeps a stalled
-			// producer from accumulating arbitrarily many.
+			// Recycle the spent batch buffers. No bound is needed: a
+			// buffer is only allocated when spare is empty, so the stream
+			// never holds more than the backlog bound lets be in flight.
 			w.mu.Lock()
-			for _, b := range batches {
-				if len(w.spare) < 4 && cap(b) > 0 {
+			for i, b := range batches {
+				if cap(b) > 0 && cap(b) <= maxPooledBatch {
 					w.spare = append(w.spare, b[:0])
 				}
+				batches[i] = nil
 			}
 			w.mu.Unlock()
 		}
 		if closed {
+			// The producer is done with the stream: every buffer is back
+			// in spare, ready for the next stream.
+			w.mu.Lock()
+			w.set.bufs, w.spare = w.spare, nil
+			w.mu.Unlock()
+			batchPool.Put(w.set)
 			w.count = e.count
 			if w.opts.BeforeTerminal != nil {
 				w.opts.BeforeTerminal(e.count)
@@ -286,6 +334,8 @@ func (w *Writer) run() {
 		}
 		select {
 		case <-w.wake:
+		case <-pushT.C:
+			w.pushDue.Store(true)
 		case <-flushC:
 			flushC = nil
 			if !failed {
