@@ -193,7 +193,8 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 	// is also handed over when its unit ends, so no violation waits on
 	// another group. A flush blocked on a slow consumer unblocks on
 	// cancellation, so a consumer break never strands a worker. Spent
-	// chunks come back over free.
+	// chunks come back over free, which holds one per worker: a worker
+	// takes at most one at a time, so more would only sit idle.
 	ch := make(chan *chunk)
 	free := make(chan *chunk, w)
 	var wg sync.WaitGroup

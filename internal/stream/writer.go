@@ -296,12 +296,12 @@ func (w *Writer) run() {
 			}
 		}
 		if len(batches) > 0 {
-			// Recycle the spent batch buffers. No bound is needed: a
-			// buffer is only allocated when spare is empty, so the stream
-			// never holds more than the backlog bound lets be in flight.
+			// Recycle the spent batch buffers, as many as a stream can
+			// have in flight at once (the micro-batch, a full backlog and
+			// a backlog being encoded), so a steady stream allocates none.
 			w.mu.Lock()
 			for i, b := range batches {
-				if cap(b) > 0 && cap(b) <= maxPooledBatch {
+				if len(w.spare) <= 2*maxPendingBatches && cap(b) > 0 && cap(b) <= maxPooledBatch {
 					w.spare = append(w.spare, b[:0])
 				}
 				batches[i] = nil
